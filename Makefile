@@ -21,9 +21,9 @@ BENCH_KERNEL := 'BenchmarkToneFill256$$|BenchmarkToneFill32$$|BenchmarkAccumulat
 # Observability overhead budget (percent) enforced by obs-overhead.
 OBS_OVERHEAD_PCT ?= 2
 
-.PHONY: ci fmt vet build test race test-purego bench bench-kernel bench-trend bench-baseline bench-compare bench-smoke obs-overhead chaos rosd-chaos fuzz-smoke profile rosd-load rosd-load-smoke
+.PHONY: ci fmt vet build test race test-rosperf bench bench-kernel bench-trend bench-baseline bench-compare bench-smoke obs-overhead chaos rosd-chaos fuzz-smoke profile rosd-load rosd-load-smoke
 
-ci: fmt vet build race test-purego
+ci: fmt vet build race test-rosperf
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -41,21 +41,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The portable scalar kernels behind the ros_purego tag, under the race
-# detector: the cross-tag agreement tests only mean something if both
-# kernel builds stay green.
-test-purego:
-	$(GO) test -race -tags ros_purego ./...
+# The benchmark harness is a module of its own (rosperf/go.mod), so the
+# root ./... patterns skip it; vet and test it in place. It calls internal
+# APIs directly, so a reshaped internal package breaks it here first.
+test-rosperf:
+	cd rosperf && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# Micro-benchmarks of the synthesis front-end kernels under both build
-# tags, so a lane-kernel change is measured against the portable baseline
-# in one command.
+# Micro-benchmarks of the synthesis front-end kernels, both lane
+# precisions side by side.
 bench-kernel:
 	$(GO) test -run xxx -bench $(BENCH_KERNEL) -benchmem ./internal/dsp/ ./internal/radar/ ./internal/scene/
-	$(GO) test -run xxx -bench $(BENCH_KERNEL) -benchmem -tags ros_purego ./internal/dsp/ ./internal/radar/ ./internal/scene/
 
 # Append one machine-readable record (per-experiment wall ms + canonical-read
 # span timings) to the checked-in trend file. Run before/after perf PRs.

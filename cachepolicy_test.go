@@ -3,7 +3,7 @@ package ros
 // Cache-ownership gate: after the Engine/Session refactor, memoized state
 // lives in resource handles (dsp.PlanSet, radar.Session, scene.ResponseCache,
 // engine.Engine), and the only package-level cache instances allowed are the
-// default-handle shims in each package's cache.go. This test walks every
+// default handles in each package's cache.go. This test walks every
 // non-test source file in the module and fails on any new package-level cache
 // declaration outside that allowlist, so the global-cache pattern cannot
 // creep back in.
@@ -21,13 +21,11 @@ import (
 )
 
 // cacheShimFiles are the files allowed to declare package-level cache
-// instances: exactly the default-handle shims (and the CountedMap
-// implementation itself).
+// instances: exactly the default handles that make up engine.Default.
 var cacheShimFiles = map[string]bool{
 	"internal/dsp/cache.go":   true,
 	"internal/radar/cache.go": true,
 	"internal/scene/cache.go": true,
-	"internal/obs/cache.go":   true,
 }
 
 // cachePattern matches the constructors and types that hold memoized cache
@@ -72,7 +70,7 @@ func TestNoPackageLevelCachesOutsideShims(t *testing.T) {
 			start := fset.Position(gd.Pos()).Offset
 			end := fset.Position(gd.End()).Offset
 			if m := cachePattern.FindString(string(src[start:end])); m != "" {
-				t.Errorf("%s:%d: package-level cache declaration (%s) outside the default-handle shims; own it through an Engine/Session handle instead",
+				t.Errorf("%s:%d: package-level cache declaration (%s) outside the default handles; own it through an Engine/Session handle instead",
 					path, fset.Position(gd.Pos()).Line, m)
 			}
 		}

@@ -131,14 +131,14 @@ func TestReadFloat32DecodeMatchesFloat64Reference(t *testing.T) {
 
 // TestReadIdenticalAcrossMemoState pins the scene/radar memo caches'
 // value-neutrality: a cold-cache read, a warm-cache repeat, and a
-// post-ResetCaches rebuild are all byte-identical.
+// rebuild after clearing the default caches are all byte-identical.
 func TestReadIdenticalAcrossMemoState(t *testing.T) {
-	scene.ResetCaches()
-	radar.ResetCaches()
+	scene.DefaultResponseCache().Clear()
+	radar.DefaultSession().Clear()
 	r := NewReader()
 	opts := ReadOptions{Seed: 42, Workers: 2}
 	base, cold := readCaptureOpts(t, r, opts)
-	gauge := obs.Default.Gauge("ros_scene_response_entries", "")
+	gauge := obs.DefaultCacheGauge(scene.CacheResponses)
 	if gauge.Value() == 0 {
 		t.Error("canonical read left the scene response memo empty — memo never engaged")
 	}
@@ -146,14 +146,14 @@ func TestReadIdenticalAcrossMemoState(t *testing.T) {
 	if string(warm) != string(cold) {
 		t.Error("memo-warm read differs from memo-cold read")
 	}
-	scene.ResetCaches()
-	radar.ResetCaches()
+	scene.DefaultResponseCache().Clear()
+	radar.DefaultSession().Clear()
 	rebuilt, raw := readCaptureOpts(t, r, opts)
 	if string(raw) != string(cold) {
-		t.Error("post-ResetCaches read differs from the original cold read")
+		t.Error("post-Clear read differs from the original cold read")
 	}
 	if rebuilt.Bits != base.Bits || rebuilt.SNRdB != base.SNRdB {
-		t.Errorf("post-ResetCaches outcome diverged: %q/%v vs %q/%v",
+		t.Errorf("post-Clear outcome diverged: %q/%v vs %q/%v",
 			rebuilt.Bits, rebuilt.SNRdB, base.Bits, base.SNRdB)
 	}
 }

@@ -5,9 +5,10 @@ import "ros/internal/engine"
 // Engine is an explicit resource handle for readers: it owns every piece of
 // memoized state reads accumulate — transform plans, steering tables,
 // scene-response memos, pooled frame buffers, scan states — instead of
-// leaving them in process-global caches. Readers without an Engine keep the
-// global-cache behavior (process-lifetime retention, shared across all
-// readers); readers sharing an Engine share its caches; Close releases
+// leaving them in the process-wide default engine. Readers without an Engine
+// use the default one (process-lifetime retention, shared across all
+// readers, reporting under ros_engine_cache_entries{engine="default"});
+// readers sharing an Engine share its caches; Close releases
 // everything the Engine owns deterministically, dropping its metric entries
 // with it.
 //
@@ -37,7 +38,7 @@ func (e *Engine) Close() {
 func (e *Engine) Closed() bool { return e.h.Closed() }
 
 // WithEngine binds the reader's reads to the engine's caches instead of the
-// process-global ones. Results are byte-identical either way.
+// process-wide default ones. Results are byte-identical either way.
 func WithEngine(e *Engine) ReaderOption {
 	return func(r *Reader) {
 		r.engine = e.h

@@ -38,6 +38,7 @@ import (
 	"ros/internal/cluster"
 	"ros/internal/dsp"
 	"ros/internal/em"
+	"ros/internal/engine"
 	"ros/internal/fault"
 	"ros/internal/geom"
 	"ros/internal/obs"
@@ -118,15 +119,12 @@ type Pipeline struct {
 	// aggregate of azimuth samples, so partial frame loss degrades SNR
 	// rather than correctness.
 	MaxFrameLoss float64
-	// Session, when non-nil, supplies the radar resource handle the run
-	// draws its synthesis plan (and with it steering tables, transform
-	// plans, and frame pools) from; nil uses the process-wide default
-	// session. Results are byte-identical either way.
-	Session *radar.Session
-	// ScanStates, when non-nil, pools the per-worker incremental scan
-	// states; nil uses a process-wide pool. Like the hint state itself it
-	// never affects output, only how much work the scan does.
-	ScanStates *radar.ScanStatePool
+	// Engine supplies the resource handle the run draws its synthesis plan
+	// (and with it steering tables, transform plans, and frame pools) and
+	// its per-worker incremental scan states from. NewPipeline sets
+	// engine.Default(); a run needs a non-nil Engine. Results are
+	// byte-identical under any engine.
+	Engine *engine.Engine
 }
 
 // NewPipeline returns a pipeline with the paper's defaults around the given
@@ -140,6 +138,7 @@ func NewPipeline(cfg radar.Config) *Pipeline {
 		TagMaxRSSLossDB:     14.2,
 		TagMaxExtent:        0.18,
 		DecodeAzimuthCapDeg: 60,
+		Engine:              engine.Default(),
 	}
 }
 
@@ -333,7 +332,7 @@ func (p *Pipeline) synthesizeFrames(ctx context.Context, sc *scene.Scene, truth 
 	cloudSp := sp.StartChild(SpanPointCloud)
 	fe := p.Radar.FrontEnd
 	f := p.Radar.CenterFrequency
-	plan := p.synthPlan()
+	plan := p.Engine.Session.SynthPlanFor(p.Radar)
 	inj := p.Fault
 	samples := p.Radar.Samples
 	numRx := p.Radar.NumRx
@@ -431,34 +430,13 @@ func (p *Pipeline) synthesizeFaultyFrame(sc *scene.Scene, pose geom.Vec3, vel ge
 	return fd, nil
 }
 
-// synthPlan resolves the run's frame front-end plan through the configured
-// resource handle, falling back to the process-wide default session.
-func (p *Pipeline) synthPlan() *radar.SynthPlan {
-	if p.Session != nil {
-		return p.Session.SynthPlanFor(p.Radar)
-	}
-	return p.Radar.NewSynthPlan()
-}
-
-// defaultScanStates pools incremental-scan state for pipelines without an
-// explicit handle. Workers interleave frames arbitrarily, so a pooled
-// state's hints describe whichever frame its last holder processed — which
-// is exactly as much as the incremental scan needs: the hint set is a
-// performance prior, never an output input (radar.PointCloudScan falls back
-// to a full scan whenever the hints fail its coverage check), so any
-// provenance keeps the run byte-identical at every worker count.
-var defaultScanStates radar.ScanStatePool
-
 // extractPoints converts the frame's detection-mode point cloud into world
 // coordinates via the plan's scan path. tainted marks frames that passed
 // through the fault layer's sample corruption: their scan starts from a
 // Reset state, so no fault-adjacent frame ever rides on hints and the hint
 // chain restarts from the scrubbed profile's own full scan.
 func (p *Pipeline) extractPoints(fd *frameData, pose geom.Vec3, plan *radar.SynthPlan, tainted bool) {
-	pool := p.ScanStates
-	if pool == nil {
-		pool = &defaultScanStates
-	}
+	pool := p.Engine.ScanStates
 	st := pool.Get()
 	if tainted {
 		st.Reset()

@@ -1,10 +1,10 @@
-// Default-set compatibility shim of the dsp package. Every memo cache —
-// fused plans, window tables, twiddle tables, chirp plans — lives in a
-// PlanSet (see planset.go); this file owns the one default set behind the
-// package-level entry points, so callers without an explicit resource handle
-// keep the process-lifetime behavior. The default set's caches mirror their
-// entry counts into the legacy ros_dsp_*_entries gauges, and ResetCaches
-// drops them all.
+// Default plan set of the dsp package. Every memo cache — fused plans,
+// window tables, twiddle tables, chirp plans — lives in a PlanSet (see
+// planset.go); this file owns the one default set behind the package-level
+// entry points, so callers without an explicit resource handle keep the
+// process-lifetime behavior. The default set is the transform part of
+// engine.Default, and its caches report under
+// ros_engine_cache_entries{engine="default"}.
 //
 // The scratch pools (Gauss streams, per-plan in-place transform buffers) are
 // sync.Pools: the garbage collector already bounds those, so they are not
@@ -14,32 +14,8 @@ package dsp
 import "ros/internal/obs"
 
 // defaultPlans is the process-wide plan set behind the package-level shims.
-var defaultPlans = NewPlanSet(func(cache string) *obs.Gauge {
-	switch cache {
-	case CachePlans:
-		return obs.Default.Gauge("ros_dsp_plan_cache_entries",
-			"Resident fused window+FFT plans, one per (size, window) pair.")
-	case CacheWindows:
-		return obs.Default.Gauge("ros_dsp_window_cache_entries",
-			"Resident window coefficient tables, one per (window, length) pair.")
-	case CacheTwiddles:
-		return obs.Default.Gauge("ros_dsp_twiddle_cache_entries",
-			"Resident FFT twiddle tables, one per transform size.")
-	default:
-		return obs.Default.Gauge("ros_dsp_chirp_cache_entries",
-			"Resident Bluestein chirp plans, one per (length, direction) pair.")
-	}
-})
+var defaultPlans = NewPlanSet(obs.DefaultCacheGauge)
 
 // DefaultPlanSet returns the process-wide plan set the package-level entry
 // points (PlanFor, Window.CachedCoefficients, FFT/IFFT) memoize into.
 func DefaultPlanSet() *PlanSet { return defaultPlans }
-
-// ResetCaches drops every default-set memo cache — plans, window tables,
-// twiddle tables, and chirp plans — and zeroes their gauges. Values already
-// handed out stay valid (entries are immutable); subsequent calls simply
-// rebuild. Intended for long-lived processes cycling through unbounded
-// transform geometries and for tests that need a cold start.
-func ResetCaches() {
-	defaultPlans.Clear()
-}

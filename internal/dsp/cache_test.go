@@ -8,15 +8,15 @@ import (
 )
 
 // TestCacheGaugesAndReset pins the retention contract of the dsp memo
-// caches: building a plan registers entries in the obs gauges, ResetCaches
-// zeroes them, and transforms built afterwards reproduce the pre-reset
-// output exactly.
+// caches: building a plan registers entries in the default engine's
+// ros_engine_cache_entries children, clearing the default set zeroes them,
+// and transforms built afterwards reproduce the pre-reset output exactly.
 func TestCacheGaugesAndReset(t *testing.T) {
-	planG := obs.Default.Gauge("ros_dsp_plan_cache_entries", "")
-	twidG := obs.Default.Gauge("ros_dsp_twiddle_cache_entries", "")
-	winG := obs.Default.Gauge("ros_dsp_window_cache_entries", "")
+	planG := obs.DefaultCacheGauge(CachePlans)
+	twidG := obs.DefaultCacheGauge(CacheTwiddles)
+	winG := obs.DefaultCacheGauge(CacheWindows)
 
-	ResetCaches()
+	defaultPlans.Clear()
 	for _, g := range []*obs.Gauge{planG, twidG, winG} {
 		if v := g.Value(); v != 0 {
 			t.Fatalf("gauge = %v after reset, want 0", v)
@@ -42,7 +42,7 @@ func TestCacheGaugesAndReset(t *testing.T) {
 		t.Fatalf("window gauge = %v after CachedCoefficients, want >= 1", v)
 	}
 
-	ResetCaches()
+	defaultPlans.Clear()
 	for _, g := range []*obs.Gauge{planG, twidG, winG} {
 		if v := g.Value(); v != 0 {
 			t.Fatalf("gauge = %v after second reset, want 0", v)

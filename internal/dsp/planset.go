@@ -26,8 +26,8 @@ const (
 )
 
 // CacheGauge provisions the entry-count gauge for one named cache of a
-// resource handle. The default set binds the legacy ros_dsp_*_entries
-// gauges; per-Engine sets bind labeled children of one shared vector.
+// resource handle: each engine (the default one included) binds labeled
+// children of obs.CacheEntries.
 type CacheGauge func(cache string) *obs.Gauge
 
 // PlanSet owns the transform memo caches for one configuration handle.

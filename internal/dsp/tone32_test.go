@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestToneFill32MatchesToneFill pins the f32 tone kernel to its f64 twin
-// under whichever tag is active: the recurrence is identical, only the
-// stores narrow, so every lane value must be exactly the f64 value rounded
-// once to float32.
+// TestToneFill32MatchesToneFill pins the float32 instantiation of the tone
+// kernel to the float64 one: the recurrence is identical, only the stores
+// narrow, so every lane value must be exactly the f64 value rounded once to
+// float32.
 func TestToneFill32MatchesToneFill(t *testing.T) {
 	for _, n := range []int{1, 3, 4, 7, 256, 1300} {
 		re64 := make([]float64, n)
@@ -20,7 +20,7 @@ func TestToneFill32MatchesToneFill(t *testing.T) {
 		sr, si := math.Cos(0.0021), math.Sin(0.0021)
 		cr, ci := amp*math.Cos(ang), amp*math.Sin(ang)
 		ToneFill(re64, im64, cr, ci, sr, si)
-		ToneFill32(re32, im32, cr, ci, sr, si)
+		ToneFill(re32, im32, cr, ci, sr, si)
 		for i := 0; i < n; i++ {
 			if re32[i] != float32(re64[i]) || im32[i] != float32(im64[i]) {
 				t.Fatalf("n=%d idx %d: (%v,%v) != narrowed (%v,%v)",
@@ -47,7 +47,7 @@ func TestAccumulateRotated32MatchesComplexMul(t *testing.T) {
 		dst[i] = complex(float64(i)*0.01, -float64(i)*0.02)
 		want[i] = dst[i] + complex(aRe, aIm)*complex(float64(re[i]), float64(im[i]))
 	}
-	AccumulateRotated32(dst, re, im, aRe, aIm)
+	AccumulateRotated(dst, re, im, aRe, aIm)
 	for i := range dst {
 		if d := cAbs(dst[i] - want[i]); d > 1e-15 {
 			t.Fatalf("idx %d: got %v want %v", i, dst[i], want[i])
@@ -56,7 +56,7 @@ func TestAccumulateRotated32MatchesComplexMul(t *testing.T) {
 }
 
 // TestStoreVariants32MatchAccumulateIntoZero pins the = variants to the +=
-// variants over a zeroed destination, and AccumulateTone32 to the identity
+// variants over a zeroed destination, and AccumulateTone to the identity
 // rotation.
 func TestStoreVariants32MatchAccumulateIntoZero(t *testing.T) {
 	const n = 64
@@ -69,22 +69,22 @@ func TestStoreVariants32MatchAccumulateIntoZero(t *testing.T) {
 	aRe, aIm := 0.31, 0.77
 	stored := make([]complex128, n)
 	accum := make([]complex128, n)
-	StoreRotated32(stored, re, im, aRe, aIm)
-	AccumulateRotated32(accum, re, im, aRe, aIm)
+	StoreRotated(stored, re, im, aRe, aIm)
+	AccumulateRotated(accum, re, im, aRe, aIm)
 	for i := range stored {
 		if stored[i] != accum[i] {
-			t.Fatalf("StoreRotated32 idx %d: %v != %v", i, stored[i], accum[i])
+			t.Fatalf("StoreRotated idx %d: %v != %v", i, stored[i], accum[i])
 		}
 	}
 	storedT := make([]complex128, n)
 	accumT := make([]complex128, n)
-	StoreTone32(storedT, re, im)
-	AccumulateTone32(accumT, re, im)
+	StoreTone(storedT, re, im)
+	AccumulateTone(accumT, re, im)
 	ident := make([]complex128, n)
-	AccumulateRotated32(ident, re, im, 1, 0)
+	AccumulateRotated(ident, re, im, 1, 0)
 	for i := range storedT {
 		if storedT[i] != accumT[i] || storedT[i] != ident[i] {
-			t.Fatalf("StoreTone32 idx %d: %v / %v / %v disagree", i, storedT[i], accumT[i], ident[i])
+			t.Fatalf("StoreTone idx %d: %v / %v / %v disagree", i, storedT[i], accumT[i], ident[i])
 		}
 	}
 }
@@ -100,7 +100,7 @@ func BenchmarkToneFill32(b *testing.B) {
 	b.SetBytes(256 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ToneFill32(re, im, 1, 0, sr, si)
+		ToneFill(re, im, 1, 0, sr, si)
 	}
 }
 
@@ -108,11 +108,11 @@ func BenchmarkAccumulateRotated32_256(b *testing.B) {
 	re := make([]float32, 256)
 	im := make([]float32, 256)
 	sr, si := math.Cos(0.01), math.Sin(0.01)
-	ToneFill32(re, im, 1, 0, sr, si)
+	ToneFill(re, im, 1, 0, sr, si)
 	dst := make([]complex128, 256)
 	b.SetBytes(256 * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AccumulateRotated32(dst, re, im, 0.6, -0.8)
+		AccumulateRotated(dst, re, im, 0.6, -0.8)
 	}
 }

@@ -1,10 +1,8 @@
 package dsp
 
-// Cross-tag kernel suite: these tests compile and pass under both the
-// default lane kernel and `-tags ros_purego` (CI runs the matrix), pinning
-// whichever ToneFill/Accumulate* implementation is built to a per-sample
-// math.Sincos reference at 1e-9 relative — so the two kernels agree with
-// each other to the same bound on any scene the synthesizer can produce.
+// Tone kernel suite: ToneFill and the Accumulate*/Store* passes are pinned
+// to a per-sample math.Sincos reference (refTone) at 1e-9 relative, on
+// frame lengths past several renormalization intervals.
 
 import (
 	"math"
@@ -28,7 +26,6 @@ func refTone(n int, cur, step complex128) []complex128 {
 }
 
 func TestToneFillMatchesSincos(t *testing.T) {
-	t.Logf("tone kernel: %s", ToneKernel())
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		// Frame lengths past several renormalization intervals, plus odd

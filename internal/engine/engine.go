@@ -5,9 +5,10 @@
 // pooled frame buffers, and scan states. An Engine is constructed once per
 // configuration handle, passed explicitly through the simulation and
 // detection layers, and released deterministically with Close, which drops
-// the caches and their metric label sets in one step. Code without a handle
-// keeps using the per-package default caches; an Engine never shares state
-// with them or with another Engine.
+// the caches and their metric label sets in one step. Default is the one
+// process-wide Engine behind the per-package default handles, for code that
+// never asks for its own; an Engine from New never shares state with it or
+// with another Engine.
 package engine
 
 import (
@@ -18,17 +19,6 @@ import (
 	"ros/internal/obs"
 	"ros/internal/radar"
 	"ros/internal/scene"
-)
-
-// cacheEntries is the one labeled gauge every engine-owned cache reports
-// under, replacing the per-cache global gauges of the default handles. The
-// capacity bounds label-set growth from engine churn; Close deletes an
-// engine's sets, so only leaked engines consume it permanently.
-var cacheEntries = obs.Default.GaugeVecCapacity(
-	"ros_engine_cache_entries",
-	"Resident entries per engine-owned cache.",
-	1024,
-	"cache", "engine",
 )
 
 // nextID numbers anonymous engines.
@@ -51,7 +41,7 @@ type Engine struct {
 	// ScanStates recycles per-worker incremental scan states.
 	ScanStates *radar.ScanStatePool
 
-	// labels records the cache label sets registered under cacheEntries,
+	// labels records the cache label sets registered under obs.CacheEntries,
 	// so Close can delete exactly what New created.
 	labels [][]string
 	closed atomic.Bool
@@ -67,13 +57,29 @@ func New(id string) *Engine {
 	e := &Engine{id: id, ScanStates: &radar.ScanStatePool{}}
 	gauge := func(cache string) *obs.Gauge {
 		e.labels = append(e.labels, []string{cache, e.id})
-		return cacheEntries.With(cache, e.id)
+		return obs.CacheEntries.With(cache, e.id)
 	}
 	e.Plans = dsp.NewPlanSet(gauge)
 	e.Session = radar.NewSession(e.Plans, gauge)
 	e.Responses = scene.NewResponseCache(gauge(scene.CacheResponses), 0)
 	return e
 }
+
+// defaultEngine gathers the per-layer default handles, which report under
+// ros_engine_cache_entries{engine="default"}.
+var defaultEngine = &Engine{
+	id:         obs.DefaultEngine,
+	Plans:      dsp.DefaultPlanSet(),
+	Session:    radar.DefaultSession(),
+	Responses:  scene.DefaultResponseCache(),
+	ScanStates: &radar.ScanStatePool{},
+}
+
+// Default returns the process-wide Engine: the default plan set, radar
+// session and scene response cache behind the package-level entry points,
+// plus a shared scan-state pool. It lives for the whole process: nothing
+// closes it.
+func Default() *Engine { return defaultEngine }
 
 // ID returns the engine's metric label value.
 func (e *Engine) ID() string { return e.id }
@@ -95,6 +101,6 @@ func (e *Engine) Close() {
 	e.Session.Clear()
 	e.Plans.Clear()
 	for _, ls := range e.labels {
-		cacheEntries.Delete(ls...)
+		obs.CacheEntries.Delete(ls...)
 	}
 }

@@ -14,15 +14,33 @@ import (
 // shared, and live until Clear. The working set is bounded by the number of
 // distinct keys the process touches (for this codebase: distinct radar
 // configurations and transform sizes), not by time — a long-lived server
-// cycling through unbounded configurations must call the owning package's
-// ResetCaches hook (or watch the gauge) to bound memory. Clear is safe
-// under concurrency: values already handed out keep working, and in-flight
-// fills simply repopulate.
+// cycling through unbounded configurations bounds memory by giving each
+// configuration its own engine and closing it when retired (or by watching
+// the gauge). Clear is safe under concurrency: values already handed out
+// keep working, and in-flight fills simply repopulate.
 type CountedMap struct {
 	m sync.Map
 	n atomic.Int64
 	g *Gauge
 }
+
+// CacheEntries is the one labeled gauge every memo cache reports its
+// resident entry count under: cache names the cache kind, engine the owning
+// engine (DefaultEngine for the process-wide default handles). The capacity
+// bounds label-set growth from engine churn; closing an engine deletes its
+// sets, so only leaked engines consume it permanently.
+var CacheEntries = Default.GaugeVecCapacity(
+	"ros_engine_cache_entries",
+	"Resident entries per engine-owned cache.",
+	1024,
+	"cache", "engine",
+)
+
+// DefaultEngine is the engine label of the process-wide default caches.
+const DefaultEngine = "default"
+
+// DefaultCacheGauge returns the entry gauge of one default-engine cache.
+func DefaultCacheGauge(cache string) *Gauge { return CacheEntries.With(cache, DefaultEngine) }
 
 // NewCountedMap returns a map that mirrors its entry count into g.
 func NewCountedMap(g *Gauge) *CountedMap {

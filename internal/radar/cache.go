@@ -1,37 +1,22 @@
-// Default-session compatibility shim of the radar package. Every memo cache
-// — frame synthesis plans and beamforming steering tables — lives in a
-// Session (see session.go); this file owns the one default session behind
-// the package-level entry points, so callers without an explicit resource
-// handle keep the process-lifetime behavior. The default session's caches
-// mirror their entry counts into the legacy ros_radar_*_entries gauges, and
-// ResetCaches drops them both.
+// Default session of the radar package. Every memo cache — frame synthesis
+// plans and beamforming steering tables — lives in a Session (see
+// session.go); this file owns the one default session behind the
+// package-level entry points, so callers without an explicit resource
+// handle keep the process-lifetime behavior. The default session is the
+// radar part of engine.Default, and its caches report under
+// ros_engine_cache_entries{engine="default"}.
 package radar
 
-import "ros/internal/obs"
+import (
+	"ros/internal/dsp"
+	"ros/internal/obs"
+)
 
 // defaultSession is the process-wide session behind the package-level shims,
 // drawing its transform plans from the default dsp plan set.
-var defaultSession = NewSession(nil, func(cache string) *obs.Gauge {
-	switch cache {
-	case CacheSynthPlans:
-		return obs.Default.Gauge("ros_radar_synth_plan_entries",
-			"Resident frame synthesis plans, one per radar Config.")
-	default:
-		return obs.Default.Gauge("ros_radar_steering_entries",
-			"Resident beamforming steering tables, one per array geometry.")
-	}
-})
+var defaultSession = NewSession(dsp.DefaultPlanSet(), obs.DefaultCacheGauge)
 
 // DefaultSession returns the process-wide session the package-level entry
 // points (Config.NewSynthPlan, Config.Synthesize, the AoA helpers) memoize
 // into.
 func DefaultSession() *Session { return defaultSession }
-
-// ResetCaches drops the default session's memo caches — synthesis plans and
-// steering tables — and zeroes their gauges. Values already handed out stay
-// valid (entries are immutable); subsequent calls simply rebuild. Intended
-// for long-lived processes cycling through unbounded radar configurations
-// and for tests that need a cold start.
-func ResetCaches() {
-	defaultSession.Clear()
-}

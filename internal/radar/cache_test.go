@@ -7,14 +7,15 @@ import (
 )
 
 // TestCacheGaugesAndReset pins the retention contract of the radar memo
-// caches: first use registers an entry in the corresponding obs gauge,
-// ResetCaches zeroes both, and the pipeline keeps producing identical
-// results after a reset (entries are pure memoization, never state).
+// caches: first use registers an entry in the default engine's
+// ros_engine_cache_entries children, clearing the default session zeroes
+// both, and the pipeline keeps producing identical results after a reset
+// (entries are pure memoization, never state).
 func TestCacheGaugesAndReset(t *testing.T) {
-	synthG := obs.Default.Gauge("ros_radar_synth_plan_entries", "")
-	steerG := obs.Default.Gauge("ros_radar_steering_entries", "")
+	synthG := obs.DefaultCacheGauge(CacheSynthPlans)
+	steerG := obs.DefaultCacheGauge(CacheSteering)
 
-	ResetCaches()
+	defaultSession.Clear()
 	if v := synthG.Value(); v != 0 {
 		t.Fatalf("synth plan gauge = %v after reset, want 0", v)
 	}
@@ -35,7 +36,7 @@ func TestCacheGaugesAndReset(t *testing.T) {
 		t.Fatalf("steering gauge = %v after first scan, want >= 1", v)
 	}
 
-	ResetCaches()
+	defaultSession.Clear()
 	if v := synthG.Value(); v != 0 {
 		t.Fatalf("synth plan gauge = %v after second reset, want 0", v)
 	}

@@ -144,9 +144,9 @@ func (p *SynthPlan) Synthesize(scatterers []Scatterer, g *dsp.Gauss) Frame {
 
 	var wrote bool
 	if p.useF32 {
-		wrote = p.synthTones32(f, buf, scatterers)
+		wrote = synthTones(p, f, &buf.laneRe32, &buf.laneIm32, scatterers)
 	} else {
-		wrote = p.synthTones(f, buf, scatterers)
+		wrote = synthTones(p, f, &buf.laneRe, &buf.laneIm, scatterers)
 	}
 	if !wrote {
 		clear(f.Data)
@@ -212,15 +212,23 @@ func (p *SynthPlan) Synthesize(scatterers []Scatterer, g *dsp.Gauss) Frame {
 	return f
 }
 
-// synthTones runs the scatterer loop into the frame at full precision:
-// three Sincos calls per scatterer, one ToneFill recurrence into the split
-// lanes, then store/accumulate passes rotated per channel by the steering
-// phasor. Returns whether any scatterer contributed (the first one's stores
-// replace the frame memclr).
-func (p *SynthPlan) synthTones(f Frame, buf *chanBuf, scatterers []Scatterer) bool {
+// synthTones runs the scatterer loop into the frame: three Sincos calls per
+// scatterer, one ToneFill recurrence into the split lanes, then
+// store/accumulate passes rotated per channel by the steering phasor.
+// Returns whether any scatterer contributed (the first one's stores replace
+// the frame memclr).
+//
+// The lane type T is the plan's kernel precision. On the float32 lane the
+// phasor recurrence and the per-channel rotation still run in float64, but
+// the tone is stored once at float32 — halving the lane traffic every
+// channel pass re-reads. Each sample's tone is then the f64 value rounded
+// once (relative error <= 2^-24), far below both the quantizer step at
+// <= 14 bits and the thermal noise floor; the equivalence suite bounds the
+// end-to-end divergence below half a quantizer cell.
+func synthTones[T dsp.Lane](p *SynthPlan, f Frame, laneRe, laneIm *[]T, scatterers []Scatterer) bool {
 	c := p.cfg
 	n := c.Samples
-	re, im := buf.lanes(n)
+	re, im := lanes(laneRe, laneIm, n)
 	wrote := false
 	for _, sc := range scatterers {
 		if sc.Amplitude <= 0 || sc.Range <= 0 {
@@ -247,48 +255,6 @@ func (p *SynthPlan) synthTones(f Frame, buf *chanBuf, scatterers []Scatterer) bo
 		dsp.AccumulateTone(f.Data[:n], re, im)
 		for k := 1; k < c.NumRx; k++ {
 			dsp.AccumulateRotated(f.Data[k*n:(k+1)*n], re, im, aRe, aIm)
-			aRe, aIm = aRe*rc-aIm*rs, aRe*rs+aIm*rc
-		}
-	}
-	return wrote
-}
-
-// synthTones32 is synthTones on the float32 kernel lane: the phasor
-// recurrence and the per-channel rotation still run in float64, but the tone
-// lane is stored once at float32 — halving the lane traffic every channel
-// pass re-reads. Each sample's tone is the f64 value rounded once (relative
-// error <= 2^-24), far below both the quantizer step at <= 14 bits and the
-// thermal noise floor; the equivalence suite bounds the end-to-end
-// divergence below half a quantizer cell.
-func (p *SynthPlan) synthTones32(f Frame, buf *chanBuf, scatterers []Scatterer) bool {
-	c := p.cfg
-	n := c.Samples
-	re, im := buf.lanes32(n)
-	wrote := false
-	for _, sc := range scatterers {
-		if sc.Amplitude <= 0 || sc.Range <= 0 {
-			continue
-		}
-		fb := p.beatK*sc.Range + p.dopK*sc.RadialVelocity
-		base := p.phaseK*sc.Range + sc.Phase
-		sinAz := math.Sin(sc.Azimuth)
-		ds, dc := math.Sincos(p.stepK * fb)
-		rs, rc := math.Sincos(-p.rxK * sinAz)
-		s0, c0 := math.Sincos(-base)
-		dsp.ToneFill32(re, im, sc.Amplitude*c0, sc.Amplitude*s0, dc, ds)
-		aRe, aIm := rc, rs
-		if !wrote {
-			wrote = true
-			dsp.StoreTone32(f.Data[:n], re, im)
-			for k := 1; k < c.NumRx; k++ {
-				dsp.StoreRotated32(f.Data[k*n:(k+1)*n], re, im, aRe, aIm)
-				aRe, aIm = aRe*rc-aIm*rs, aRe*rs+aIm*rc
-			}
-			continue
-		}
-		dsp.AccumulateTone32(f.Data[:n], re, im)
-		for k := 1; k < c.NumRx; k++ {
-			dsp.AccumulateRotated32(f.Data[k*n:(k+1)*n], re, im, aRe, aIm)
 			aRe, aIm = aRe*rc-aIm*rs, aRe*rs+aIm*rc
 		}
 	}

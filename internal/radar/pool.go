@@ -1,6 +1,10 @@
 package radar
 
-import "sync"
+import (
+	"sync"
+
+	"ros/internal/dsp"
+)
 
 // chanBuf is the pooled backing store behind frames and range profiles: one
 // contiguous channel-major buffer plus per-channel views over it. Frames use
@@ -15,10 +19,9 @@ type chanBuf struct {
 	// same-shape reuse skips rebuilding them.
 	numRx, n int
 	// laneRe/laneIm are the structure-of-arrays scratch lanes of the tone
-	// kernel (dsp.ToneFill), sized lazily to the sample count.
-	laneRe, laneIm []float64
-	// laneRe32/laneIm32 are the float32 twins (dsp.ToneFill32), used when
-	// the synthesis plan selects the reduced-precision kernel lane.
+	// kernel (dsp.ToneFill), sized lazily to the sample count; the float32
+	// pair serves plans that select the reduced-precision kernel lane.
+	laneRe, laneIm     []float64
 	laneRe32, laneIm32 []float32
 	// home is the pool the buffer recycles through, so ReleaseFrame and
 	// ReleaseProfile return it to the synthesis plan that produced it.
@@ -50,23 +53,13 @@ func (b *chanBuf) reshape(numRx, n int) {
 	b.numRx, b.n = numRx, n
 }
 
-// lanes returns the buffer's tone scratch lanes resliced to n samples,
+// lanes returns a buffer's tone scratch lanes resliced to n samples,
 // growing them on first use (or on the largest config seen so far).
-func (b *chanBuf) lanes(n int) (re, im []float64) {
-	if cap(b.laneRe) < n || cap(b.laneIm) < n {
-		b.laneRe = make([]float64, n)
-		b.laneIm = make([]float64, n)
+func lanes[T dsp.Lane](re, im *[]T, n int) ([]T, []T) {
+	if cap(*re) < n || cap(*im) < n {
+		*re, *im = make([]T, n), make([]T, n)
 	}
-	return b.laneRe[:n], b.laneIm[:n]
-}
-
-// lanes32 is lanes for the float32 tone scratch.
-func (b *chanBuf) lanes32(n int) (re, im []float32) {
-	if cap(b.laneRe32) < n || cap(b.laneIm32) < n {
-		b.laneRe32 = make([]float32, n)
-		b.laneIm32 = make([]float32, n)
-	}
-	return b.laneRe32[:n], b.laneIm32[:n]
+	return (*re)[:n], (*im)[:n]
 }
 
 // framePool recycles chanBufs for one synthesis plan. A drive-by synthesizes

@@ -253,7 +253,7 @@ func (c Config) pointCloudScanTab(rp RangeProfile, opts DetectOptions, st *ScanS
 	// scratch makes the per-frame detection pass allocation-free.
 	var power, scratch []float64
 	if rp.buf != nil {
-		power, scratch = rp.buf.lanes(n)
+		power, scratch = lanes(&rp.buf.laneRe, &rp.buf.laneIm, n)
 	} else {
 		flat := make([]float64, 2*n)
 		power, scratch = flat[:n], flat[n:]

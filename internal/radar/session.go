@@ -43,11 +43,8 @@ type Session struct {
 
 // NewSession returns an empty session drawing transform plans from the given
 // set, with caches mirroring their entry counts into the gauges the provider
-// hands out. A nil plans uses the default plan set.
+// hands out.
 func NewSession(plans *dsp.PlanSet, gauge dsp.CacheGauge) *Session {
-	if plans == nil {
-		plans = dsp.DefaultPlanSet()
-	}
 	return &Session{
 		plans:      plans,
 		synthPlans: obs.NewCountedMap(gauge(CacheSynthPlans)),

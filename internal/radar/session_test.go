@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"ros/internal/dsp"
 	"ros/internal/obs"
 )
 
@@ -19,7 +20,7 @@ func testGauge(cache string) *obs.Gauge {
 // racers' discarded plans leave no trace (their pre-warmed frame buffers are
 // adopted by the winner's pool instead of leaking with the loser).
 func TestSessionSynthPlanConcurrentConstruction(t *testing.T) {
-	s := NewSession(nil, testGauge)
+	s := NewSession(dsp.DefaultPlanSet(), testGauge)
 	cfg := TI1443()
 
 	const goroutines = 32
@@ -91,7 +92,7 @@ func TestFramePoolAdoption(t *testing.T) {
 
 // TestSessionClear drops both caches and lets the session repopulate.
 func TestSessionClear(t *testing.T) {
-	s := NewSession(nil, testGauge)
+	s := NewSession(dsp.DefaultPlanSet(), testGauge)
 	cfg := TI1443()
 	p1 := s.SynthPlanFor(cfg)
 	if s.synthPlans.Len() != 1 {

@@ -41,9 +41,10 @@ type LoadConfig struct {
 	// FloodFactor makes tenant-0 a flooder: it sends FloodFactor times an
 	// in-quota tenant's share of the stream (default 1 — uniform traffic).
 	FloodFactor int
-	// FrameBudget caps each read's simulated frames (default 48 — the
-	// pipeline refuses passes under 32 frames; 48 exercises it end to end
-	// while keeping a 1k-read run fast).
+	// FrameBudget caps each read's simulated frames (default 128). The
+	// pipeline refuses passes under 32 frames, but budgets well above that
+	// floor still decode wrong bits: at 48 frames every read of the
+	// harness's configuration cycle decodes "1100" for "1111".
 	FrameBudget int
 	// MaxRetries bounds the client's retries per batch (default 64).
 	MaxRetries int
@@ -73,7 +74,7 @@ func (c LoadConfig) withDefaults() LoadConfig {
 		c.FloodFactor = 1
 	}
 	if c.FrameBudget <= 0 {
-		c.FrameBudget = 48
+		c.FrameBudget = 128
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 64
@@ -84,9 +85,9 @@ func (c LoadConfig) withDefaults() LoadConfig {
 // TenantReport is one tenant's slice of a load run, as its clients saw it.
 type TenantReport struct {
 	Tenant string `json:"tenant"`
-	// Reads is the tenant's share of the stream; OK completed successfully,
-	// Throttled were refused by quota (in-result overload errors or whole
-	// batches still 429 after retries), Errors is everything else typed.
+	// Reads is the tenant's share of the stream; OK decoded the requested
+	// bits, Throttled were refused by quota (in-result overload errors or
+	// whole batches still 429 after retries), Errors is every other read.
 	Reads     int `json:"reads"`
 	OK        int `json:"ok"`
 	Throttled int `json:"throttled"`
@@ -115,9 +116,13 @@ type LoadReport struct {
 	Retries int64 `json:"retries"`
 	// Hedges counts hedge requests the client launched (0 unless Hedge set).
 	Hedges int64 `json:"hedges,omitempty"`
-	// Errors counts reads that returned a typed per-request error
-	// (throttled reads included).
+	// Errors counts reads that did not succeed: typed per-request errors
+	// (throttled reads included), passes without a decoded tag, and reads
+	// that decoded bits other than the requested ones.
 	Errors int `json:"errors"`
+	// WrongBits counts reads that decoded bits other than the requested
+	// ones (outcome "wrong_bits"); the server reports them as ok.
+	WrongBits int `json:"wrong_bits"`
 	// Throttled counts reads refused by tenant quota.
 	Throttled int `json:"throttled"`
 	// Outcomes counts reads by result label (ok, no_tag, ...).
@@ -146,6 +151,10 @@ type LoadReport struct {
 	QueueDepthP50 float64 `json:"queue_depth_p50"`
 	QueueDepthP99 float64 `json:"queue_depth_p99"`
 }
+
+// outcomeWrongBits labels a read the server reports as ok but whose decoded
+// bits differ from the requested ones.
+const outcomeWrongBits = "wrong_bits"
 
 // tenantAgg accumulates one tenant's outcomes during the run.
 type tenantAgg struct {
@@ -254,14 +263,19 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 				report.EnginesResident = res.EnginesResident
 				for i := range res.Results {
 					r := &res.Results[i]
-					report.Outcomes[resultOutcome(r)]++
+					outcome := resultOutcome(r)
+					if outcome == outcomeOK && (i >= len(tb.batch.Reads) || r.Bits != tb.batch.Reads[i].Bits) {
+						outcome = outcomeWrongBits
+						report.WrongBits++
+					}
+					report.Outcomes[outcome]++
 					switch {
 					case r.Error != nil && r.Error.Kind == "overload":
 						agg.throttled++
-					case r.Error != nil:
-						agg.errs++
-					default:
+					case outcome == outcomeOK:
 						agg.ok++
+					default:
+						agg.errs++
 					}
 				}
 				mu.Unlock()

@@ -483,17 +483,20 @@ type BatchResponse struct {
 
 // ReadResult reports one read. Error is nil on success; a failed read keeps
 // whatever partial fields the pipeline produced alongside the typed error.
+// The decode-quality fields are always present: a non-finite value (the SNR
+// of an undetected pass is -Inf) goes over the wire as null and decodes back
+// as NaN, so a BER of 0 never reads as "no value".
 type ReadResult struct {
-	Tenant          string  `json:"tenant,omitempty"`
-	Detected        bool    `json:"detected"`
-	Bits            string  `json:"bits,omitempty"`
-	SNRdB           float64 `json:"snr_db,omitempty"`
-	BER             float64 `json:"ber,omitempty"`
-	MedianRSSdBm    float64 `json:"median_rss_dbm,omitempty"`
-	Samples         int     `json:"samples,omitempty"`
-	Partial         bool    `json:"partial,omitempty"`
-	FramesCompleted int     `json:"frames_completed,omitempty"`
-	FramesDropped   int     `json:"frames_dropped,omitempty"`
+	Tenant          string        `json:"tenant,omitempty"`
+	Detected        bool          `json:"detected"`
+	Bits            string        `json:"bits,omitempty"`
+	SNRdB           obs.JSONFloat `json:"snr_db"`
+	BER             obs.JSONFloat `json:"ber"`
+	MedianRSSdBm    obs.JSONFloat `json:"median_rss_dbm"`
+	Samples         int           `json:"samples,omitempty"`
+	Partial         bool          `json:"partial,omitempty"`
+	FramesCompleted int           `json:"frames_completed,omitempty"`
+	FramesDropped   int           `json:"frames_dropped,omitempty"`
 	// Engine is the configuration fingerprint keying the engine that
 	// served the read (the "engine" label of ros_engine_cache_entries).
 	Engine string     `json:"engine,omitempty"`
@@ -810,12 +813,9 @@ func (s *Server) runOne(ctx context.Context, req ReadRequest) (res ReadResult) {
 	if out != nil {
 		res.Detected = out.Detected
 		res.Bits = out.Bits
-		// JSON has no infinities: an undetected pass reports SNR -Inf,
-		// which would abort the whole batch encode. Zero-with-omitempty
-		// renders those fields absent instead.
-		res.SNRdB = finite(out.SNRdB)
-		res.BER = finite(out.BER)
-		res.MedianRSSdBm = finite(out.MedianRSSdBm)
+		res.SNRdB = obs.JSONFloat(out.SNRdB)
+		res.BER = obs.JSONFloat(out.BER)
+		res.MedianRSSdBm = obs.JSONFloat(out.MedianRSSdBm)
 		res.Samples = out.Samples
 		res.Partial = out.Partial
 		res.FramesCompleted = out.FramesCompleted
@@ -832,14 +832,6 @@ func (s *Server) runOne(ctx context.Context, req ReadRequest) (res ReadResult) {
 		res.Error = &ErrorInfo{Kind: errorKind(err), Message: err.Error()}
 	}
 	return res
-}
-
-// finite clamps NaN and ±Inf to zero for JSON encoding.
-func finite(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0
-	}
-	return x
 }
 
 // resultOutcome labels a finished read for ros_rosd_reads_total.

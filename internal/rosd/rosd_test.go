@@ -292,6 +292,9 @@ func TestLoadHarness(t *testing.T) {
 	if total != reads {
 		t.Fatalf("outcomes account for %d of %d reads", total, reads)
 	}
+	if report.WrongBits != 0 {
+		t.Fatalf("%d reads decoded bits other than the requested ones (outcomes %v)", report.WrongBits, report.Outcomes)
+	}
 	if report.Outcomes["ok"] != reads {
 		t.Fatalf("outcomes = %v, want all %d ok", report.Outcomes, reads)
 	}

@@ -6,8 +6,8 @@
 // immutable complex/real values shared across goroutines. The cache is a
 // resource handle: Scene.Responses selects one explicitly, and callers
 // without a handle fall back to the default cache behind the package-level
-// entry points (its entry count is mirrored into ros_scene_response_entries
-// and ResetCaches drops it).
+// entry points — the scene part of engine.Default, reporting under
+// ros_engine_cache_entries{engine="default"}.
 package scene
 
 import "ros/internal/obs"
@@ -83,15 +83,7 @@ func (rc *ResponseCache) Clear() { rc.entries.Clear() }
 // defaultResponses is the process-wide cache behind the package-level entry
 // points (Tag.Response, Tag.RCS, Scatterers on a Scene without an explicit
 // handle).
-var defaultResponses = NewResponseCache(obs.Default.Gauge("ros_scene_response_entries",
-	"Resident memoized tag field terms, one per (tag fingerprint, radar position, frequency, term)."), 0)
+var defaultResponses = NewResponseCache(obs.DefaultCacheGauge(CacheResponses), 0)
 
 // DefaultResponseCache returns the process-wide response cache.
 func DefaultResponseCache() *ResponseCache { return defaultResponses }
-
-// ResetCaches drops the default scene memo cache and zeroes its gauge.
-// Intended for long-lived processes cycling through unbounded tag or
-// trajectory sets and for tests that need a cold start.
-func ResetCaches() {
-	defaultResponses.Clear()
-}

@@ -18,7 +18,7 @@ func literalTwin(tag *Tag) *Tag {
 // TestTagResponseMemoMatchesDirect pins the memo's core contract: memoized
 // evaluation is byte-identical to direct evaluation, cold and warm.
 func TestTagResponseMemoMatchesDirect(t *testing.T) {
-	ResetCaches()
+	defaultResponses.Clear()
 	tag := testTag(t, "1011", 8)
 	direct := literalTwin(tag)
 	if tag.fp == 0 {
@@ -62,20 +62,20 @@ func TestTagResponseMemoMatchesDirect(t *testing.T) {
 // TestResetCachesRebuildIdentical checks that dropping the memo mid-stream
 // changes nothing but timing.
 func TestResetCachesRebuildIdentical(t *testing.T) {
-	ResetCaches()
+	defaultResponses.Clear()
 	tag := testTag(t, "1101", 8)
 	p := geom.Vec3{X: 1.5, Y: 12, Z: 0.7}
 	before := tag.Response(p, fc)
 	beforeP := tag.stackPower(p, fc)
-	ResetCaches()
+	defaultResponses.Clear()
 	if n := defaultResponses.Len(); n != 0 {
-		t.Fatalf("ResetCaches left %d entries", n)
+		t.Fatalf("Clear left %d entries", n)
 	}
 	if got := tag.Response(p, fc); got != before {
-		t.Errorf("Response after ResetCaches: %v != %v", got, before)
+		t.Errorf("Response after Clear: %v != %v", got, before)
 	}
 	if got := tag.stackPower(p, fc); got != beforeP {
-		t.Errorf("stackPower after ResetCaches: %v != %v", got, beforeP)
+		t.Errorf("stackPower after Clear: %v != %v", got, beforeP)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestResetCachesRebuildIdentical(t *testing.T) {
 // (driveby places the same layout/stack at several offsets — a positional
 // collision would serve one tag's field for another's).
 func TestTagFingerprintSeparatesTags(t *testing.T) {
-	ResetCaches()
+	defaultResponses.Clear()
 	base := testTag(t, "1011", 8)
 	fps := map[uint64]string{base.fp: "base"}
 	add := func(name string, tag *Tag, err error) {
@@ -126,8 +126,8 @@ func TestTagFingerprintSeparatesTags(t *testing.T) {
 // checks the wipe: the map never exceeds the cap and keeps absorbing new
 // entries afterwards.
 func TestSceneMemoCapWipes(t *testing.T) {
-	ResetCaches()
-	defer ResetCaches()
+	defaultResponses.Clear()
+	defer defaultResponses.Clear()
 	for i := 0; i < sceneResponseCap; i++ {
 		defaultResponses.store(responseKey{fp: 1, px: float64(i)}, complex128(0))
 	}
@@ -175,7 +175,7 @@ func benchTag(b *testing.B, memo bool) *Tag {
 // BenchmarkSceneResponseDirect's full module loop — the per-frame saving a
 // repeated trajectory buys.
 func BenchmarkSceneResponseMemo(b *testing.B) {
-	ResetCaches()
+	defaultResponses.Clear()
 	tag := benchTag(b, true)
 	p := geom.Vec3{X: 1, Y: 10, Z: 0.5}
 	if tag.Response(p, fc) == 0 {

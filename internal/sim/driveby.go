@@ -174,8 +174,8 @@ type DriveBy struct {
 	// Engine, when non-nil, supplies the resource handle all memoized state
 	// of the pass — transform plans, steering tables, scene-response memos,
 	// pooled frame buffers, scan states — is drawn from and accounted
-	// against; nil uses the process-wide default caches. Results are
-	// byte-identical either way.
+	// against; nil uses engine.Default(). Results are byte-identical under
+	// any engine.
 	Engine *engine.Engine
 }
 
@@ -324,6 +324,9 @@ func (d *DriveBy) defaults() {
 	if d.FrameBudget == 0 {
 		d.FrameBudget = 280
 	}
+	if d.Engine == nil {
+		d.Engine = engine.Default()
+	}
 }
 
 // buildStack assembles the tag's vertical stack.
@@ -384,9 +387,7 @@ func RunContext(ctx context.Context, cfg DriveBy) (_ *Outcome, rerr error) {
 		Fog:                 cfg.Fog,
 		RainMMPerHour:       cfg.RainMMPerHour,
 		DisablePolSwitching: cfg.DisablePolSwitching,
-	}
-	if cfg.Engine != nil {
-		sc.Responses = cfg.Engine.Responses
+		Responses:           cfg.Engine.Responses,
 	}
 	if cfg.GroundMultipath {
 		sc.Ground = scene.DefaultGround()
@@ -485,10 +486,7 @@ func RunContext(ctx context.Context, cfg DriveBy) (_ *Outcome, rerr error) {
 	p.Workers = cfg.Workers
 	p.MaxFrameLoss = cfg.MaxFrameLoss
 	p.Detect.DisableIncremental = cfg.DisableIncrementalScan
-	if cfg.Engine != nil {
-		p.Session = cfg.Engine.Session
-		p.ScanStates = cfg.Engine.ScanStates
-	}
+	p.Engine = cfg.Engine
 	var inj *fault.Injector
 	if cfg.Fault != nil {
 		inj, err = fault.New(*cfg.Fault)

@@ -19,7 +19,7 @@ import (
 type Reader struct {
 	radar radar.Config
 	// engine is the optional resource handle reads draw memoized state
-	// from; nil uses the process-global default caches (see WithEngine).
+	// from; nil uses the process-wide default engine (see WithEngine).
 	engine *engine.Engine
 }
 
